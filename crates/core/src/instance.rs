@@ -60,6 +60,7 @@ impl<'a> Instance<'a> {
     /// into the solver options — so every evaluation loop and every LP pivot
     /// loop downstream observes the same absolute budget.
     pub fn new(relation: &'a Relation, silp: Silp, options: SpqOptions) -> Result<Self> {
+        let _span = spq_obs::span("instance");
         let mut options = options;
         options.deadline = options.deadline.clone().tightened_by(options.time_limit);
         options.solver.deadline = options.solver.deadline.clone().merged(&options.deadline);
@@ -122,13 +123,17 @@ impl<'a> Instance<'a> {
         // Expectation estimates for stochastic columns (precomputation
         // phase), restricted to the candidates so that sub-instances over a
         // few tuples of a huge relation stay cheap to prepare.
-        let estimator =
-            ExpectationEstimator::new(options.seed, options.expectation_scenarios.max(1));
-        let mut expectations = HashMap::new();
-        for col in &stoch_cols {
-            let restricted = estimator.estimate_tuples(relation, col, &silp.tuples)?;
-            expectations.insert(col.clone(), restricted);
-        }
+        let expectations = {
+            let _span = spq_obs::span("expectations");
+            let estimator =
+                ExpectationEstimator::new(options.seed, options.expectation_scenarios.max(1));
+            let mut expectations = HashMap::new();
+            for col in &stoch_cols {
+                let restricted = estimator.estimate_tuples(relation, col, &silp.tuples)?;
+                expectations.insert(col.clone(), restricted);
+            }
+            expectations
+        };
 
         // Moment prefilter: a referenced stochastic column whose candidate
         // tuples are all provably scenario-invariant never needs per-scenario
@@ -163,7 +168,10 @@ impl<'a> Instance<'a> {
             objective_value_bounds: None,
             invariant_values,
         };
-        instance.objective_value_bounds = instance.sample_objective_value_bounds()?;
+        instance.objective_value_bounds = {
+            let _span = spq_obs::span("objective_bounds");
+            instance.sample_objective_value_bounds()?
+        };
         Ok(instance)
     }
 
@@ -276,8 +284,8 @@ impl<'a> Instance<'a> {
     /// Per-candidate `(mean, standard deviation)` moments of a stochastic
     /// column over the first `m` validation scenarios. For columns the
     /// moment prefilter proved scenario-invariant this costs no draws at
-    /// all — the moments are `(probed value, 0)` exactly; otherwise the
-    /// block engine realizes the window tuple-major and folds it.
+    /// all — the moments are `(probed value, 0)` exactly; otherwise each
+    /// tuple's row streams through the block engine's tile-fold.
     pub fn tuple_moments(&self, column: &str, m: usize) -> Result<Vec<(f64, f64)>> {
         if let Some(values) = self.invariant_values.get(column) {
             return Ok(values.iter().map(|&v| (v, 0.0)).collect());
@@ -424,39 +432,15 @@ impl<'a> Instance<'a> {
         // Sample a modest number of validation scenarios across all candidate
         // tuples to bound realized values (assumption A1 of Appendix B; the
         // paper likewise derives possibly loose bounds from min/max scenario
-        // values). At 10k+ candidates this block is the dominant preparation
-        // cost, so it goes through the shared scenario cache when one is
-        // configured: repeated or concurrent evaluations of the same query
-        // sample it once.
+        // values). Only the two extremes are kept: the sample streams
+        // through the block kernel tile by tile, so preparation holds no
+        // `samples × N` block and puts nothing in the scenario cache or the
+        // persistent store (no search ever reads this sample back).
         let samples = 64.min(self.options.validation_scenarios.max(1));
-        let matrix = match &self.options.scenario_cache {
-            Some(cache) => cache.sparse_matrix(
-                &self.val_gen,
-                self.relation,
-                &column,
-                &self.silp.tuples,
-                samples,
-            )?,
-            None => Arc::new(self.val_gen.realize_sparse_matrix(
-                self.relation,
-                &column,
-                &self.silp.tuples,
-                samples,
-            )?),
-        };
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for j in 0..matrix.num_scenarios() {
-            for &v in matrix.scenario(j) {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
-        if lo.is_finite() && hi.is_finite() {
-            Ok(Some((lo, hi)))
-        } else {
-            Ok(None)
-        }
+        let (lo, hi) =
+            self.val_gen
+                .value_range(self.relation, &column, &self.silp.tuples, samples)?;
+        Ok((lo.is_finite() && hi.is_finite()).then_some((lo, hi)))
     }
 }
 
@@ -715,15 +699,16 @@ mod tests {
         let opts = SpqOptions::for_tests().with_scenario_cache(cache.clone());
         let a = Instance::new(&rel, silp(vec![count_le(3.0)]), opts.clone()).unwrap();
         let b = Instance::new(&rel, silp(vec![count_le(3.0)]), opts).unwrap();
-        // Instance preparation itself shares the objective-bounds block.
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // Preparation streams its objective-bounds sample and never touches
+        // the cache.
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
         let ma = a.optimization_matrix("gain", 6).unwrap();
         let mb = b.optimization_matrix("gain", 6).unwrap();
         assert!(
             Arc::ptr_eq(&ma, &mb),
             "two instances over the same relation must share the block"
         );
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // The uncached path produces bit-identical values.
         let plain =
             Instance::new(&rel, silp(vec![count_le(3.0)]), SpqOptions::for_tests()).unwrap();

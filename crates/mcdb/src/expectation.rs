@@ -114,26 +114,18 @@ impl ExpectationEstimator {
                 .map(|&t| sc.vg.mean(t).expect("column flagged fully analytic"))
                 .collect());
         }
-        const CHUNK: usize = 512;
-        let mut sums = vec![0.0f64; tuples.len()];
-        let mut start = 0usize;
-        while start < self.num_scenarios {
-            let end = (start + CHUNK).min(self.num_scenarios);
-            for row in self
-                .generator
-                .realize_sparse(relation, column, tuples, start..end)?
-            {
-                for (sum, v) in sums.iter_mut().zip(&row) {
-                    *sum += v;
-                }
-            }
-            start = end;
-        }
+        // Each tuple's row streams past in scenario order, so its sum runs
+        // from 0.0 over scenarios 0, 1, … exactly as in `estimate`.
         let m = self.num_scenarios.max(1) as f64;
-        for sum in &mut sums {
-            *sum /= m;
-        }
-        Ok(sums)
+        let shares = self.generator.fold_rows(
+            sc,
+            tuples,
+            0..self.num_scenarios,
+            0,
+            Vec::new,
+            |means, row| means.push(row.iter().fold(0.0, |sum, v| sum + v) / m),
+        );
+        Ok(shares.concat())
     }
 }
 

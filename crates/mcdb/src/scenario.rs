@@ -414,10 +414,111 @@ impl ScenarioGenerator {
         })
     }
 
+    /// The streaming tile-fold behind every scenario reduction. Realizes
+    /// `tuples × scenarios` through the column's block kernel one
+    /// [`KERNEL_TILE_CELLS`] tile at a time and hands `visit` each tuple's
+    /// row in scenario order, tuples in order. Tuples split into contiguous
+    /// shares across `threads` workers exactly as in [`Self::realize_flat`]
+    /// (`threads == 0` picks the count automatically); each worker folds its
+    /// share into its own accumulator from `init`, and the accumulators come
+    /// back in share order. Memory is one tile buffer per worker — never the
+    /// `tuples × scenarios` block.
+    pub(crate) fn fold_rows<A, I, V>(
+        &self,
+        sc: &StochasticColumn,
+        tuples: &[usize],
+        scenarios: std::ops::Range<usize>,
+        threads: usize,
+        init: I,
+        visit: V,
+    ) -> Vec<A>
+    where
+        A: Send,
+        I: Fn() -> A + Sync,
+        V: Fn(&mut A, &[f64]) + Sync,
+    {
+        let m = scenarios.len();
+        let tile = (KERNEL_TILE_CELLS / m.max(1)).max(1);
+        let fold_share = |share: &[usize]| {
+            let mut acc = init();
+            let mut buf = vec![0.0f64; tile.min(share.len()) * m];
+            for tchunk in share.chunks(tile) {
+                let block = &mut buf[..tchunk.len() * m];
+                self.realize_tiles(sc, tchunk, scenarios.clone(), block);
+                for k in 0..tchunk.len() {
+                    visit(&mut acc, &block[k * m..(k + 1) * m]);
+                }
+            }
+            acc
+        };
+        if tuples.is_empty() {
+            return Vec::new();
+        }
+        let threads = match threads {
+            0 => auto_threads(tuples.len() * m, tuples.len()),
+            t => t.min(tuples.len()),
+        };
+        if threads == 1 {
+            return vec![fold_share(tuples)];
+        }
+        let chunk = tuples.len().div_ceil(threads);
+        let fold_share = &fold_share;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = tuples
+                .chunks(chunk)
+                .map(|share| scope.spawn(move || fold_share(share)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    }
+
+    /// `(min, max)` realized value of a stochastic column over the first `m`
+    /// scenarios of this generator's stream, across `tuples`; `(+∞, −∞)`
+    /// when there is nothing to reduce. Rows stream through the tile-fold
+    /// (one ~4096-cell buffer per worker), so no `tuples × m` block is ever
+    /// held, however many tuples it covers.
+    pub fn value_range(
+        &self,
+        relation: &Relation,
+        column: &str,
+        tuples: &[usize],
+        m: usize,
+    ) -> Result<(f64, f64)> {
+        self.value_range_with_threads(relation, column, tuples, m, 0)
+    }
+
+    fn value_range_with_threads(
+        &self,
+        relation: &Relation,
+        column: &str,
+        tuples: &[usize],
+        m: usize,
+        threads: usize,
+    ) -> Result<(f64, f64)> {
+        let sc = relation.stochastic_column(column)?;
+        let min_max = |(lo, hi): (f64, f64), v: f64| (lo.min(v), hi.max(v));
+        let empty = (f64::INFINITY, f64::NEG_INFINITY);
+        let shares = self.fold_rows(
+            sc,
+            tuples,
+            0..m,
+            threads,
+            || empty,
+            |acc, row| *acc = row.iter().copied().fold(*acc, min_max),
+        );
+        Ok(shares
+            .into_iter()
+            .fold(empty, |(lo, hi), (a, b)| (lo.min(a), hi.max(b))))
+    }
+
     /// Per-tuple empirical mean and standard deviation over the first `m`
     /// scenarios of this generator's stream, for the given tuples.
     /// SketchRefine uses these as distributional-similarity features for
-    /// partitioning; generation is parallelized like the matrix paths.
+    /// partitioning; rows stream through the tile-fold, like
+    /// [`Self::value_range`].
     pub fn tuple_moments(
         &self,
         relation: &Relation,
@@ -425,21 +526,28 @@ impl ScenarioGenerator {
         tuples: &[usize],
         m: usize,
     ) -> Result<Vec<(f64, f64)>> {
+        self.tuple_moments_with_threads(relation, column, tuples, m, 0)
+    }
+
+    fn tuple_moments_with_threads(
+        &self,
+        relation: &Relation,
+        column: &str,
+        tuples: &[usize],
+        m: usize,
+        threads: usize,
+    ) -> Result<Vec<(f64, f64)>> {
         if m == 0 {
             return Ok(vec![(0.0, 0.0); tuples.len()]);
         }
         let sc = relation.stochastic_column(column)?;
-        let threads = auto_threads(tuples.len() * m, tuples.len());
-        let flat = self.realize_flat(sc, tuples, 0..m, threads);
-        Ok(flat
-            .chunks_exact(m)
-            .map(|values| {
-                let n = values.len() as f64;
-                let mean = values.iter().sum::<f64>() / n;
-                let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-                (mean, var.max(0.0).sqrt())
-            })
-            .collect())
+        let shares = self.fold_rows(sc, tuples, 0..m, threads, Vec::new, |acc, values| {
+            let n = values.len() as f64;
+            let mean = values.iter().sum::<f64>() / n;
+            let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+            acc.push((mean, var.max(0.0).sqrt()));
+        });
+        Ok(shares.concat())
     }
 }
 
@@ -645,6 +753,71 @@ mod tests {
         // A degenerate column has zero spread.
         let deg = g.tuple_moments(&r, "other", &[0, 1], 100).unwrap();
         assert_eq!(deg, vec![(7.0, 0.0), (7.0, 0.0)]);
+    }
+
+    #[test]
+    fn streaming_reductions_match_the_realized_block_bit_for_bit() {
+        let n = 53;
+        let base: Vec<f64> = (0..n).map(|i| i as f64 * 0.25).collect();
+        let r = RelationBuilder::new("wide")
+            .stochastic("x", NormalNoise::around(base, 1.5))
+            .build()
+            .unwrap();
+        let g = ScenarioGenerator::validation(29);
+        // Non-monotone order: descending odd positions, then a strided pass.
+        let tuples: Vec<usize> = (0..n).rev().step_by(2).chain((0..n).step_by(5)).collect();
+        let bits = |pairs: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            pairs
+                .iter()
+                .map(|&(a, b)| (a.to_bits(), b.to_bits()))
+                .collect()
+        };
+        // m = 5000 exceeds KERNEL_TILE_CELLS: one tuple per tile.
+        for m in [1usize, 24, 64, 5000] {
+            let block = g
+                .realize_sparse_matrix_range(&r, "x", &tuples, 0..m, 1)
+                .unwrap();
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for j in 0..m {
+                for &v in block.scenario(j) {
+                    lo = lo.min(v);
+                    hi = hi.max(v);
+                }
+            }
+            let moments: Vec<(f64, f64)> = (0..tuples.len())
+                .map(|i| {
+                    let values: Vec<f64> = (0..m).map(|j| block.value(j, i)).collect();
+                    let mean = values.iter().sum::<f64>() / m as f64;
+                    let var =
+                        values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / m as f64;
+                    (mean, var.max(0.0).sqrt())
+                })
+                .collect();
+            for threads in [1, 2, 3, 8] {
+                let range = g
+                    .value_range_with_threads(&r, "x", &tuples, m, threads)
+                    .unwrap();
+                assert_eq!(bits(&[range]), bits(&[(lo, hi)]), "m {m} threads {threads}");
+                let got = g
+                    .tuple_moments_with_threads(&r, "x", &tuples, m, threads)
+                    .unwrap();
+                assert_eq!(bits(&got), bits(&moments), "m {m} threads {threads}");
+            }
+            assert_eq!(g.value_range(&r, "x", &tuples, m).unwrap(), (lo, hi));
+            assert_eq!(g.tuple_moments(&r, "x", &tuples, m).unwrap(), moments);
+        }
+        // Empty tuple lists reduce to the identities.
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(
+                g.value_range_with_threads(&r, "x", &[], 64, threads)
+                    .unwrap(),
+                (f64::INFINITY, f64::NEG_INFINITY)
+            );
+            assert!(g
+                .tuple_moments_with_threads(&r, "x", &[], 64, threads)
+                .unwrap()
+                .is_empty());
+        }
     }
 
     #[test]

@@ -829,26 +829,50 @@ impl VgFunction for GeometricBrownianMotion {
         out: &mut [f64],
     ) {
         let m = scenarios.len();
+        if m == 0 {
+            return;
+        }
         let normal = Normal::new(0.0, 1.0).expect("unit normal");
-        for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
-            let price = self.price[tuple];
-            let sigma = self.sigma[tuple];
-            let drift = self.mu[tuple] - 0.5 * sigma * sigma;
-            let horizon = self.horizon[tuple];
-            let log_s0 = price.ln();
-            let gs = group_seed(column_prefix, self.group[tuple]);
-            for (slot, j) in row.iter_mut().zip(scenarios.clone()) {
+        // Every tuple of a driver group walks the group's one price path and
+        // stops at its own horizon (the day-by-day walk of
+        // `terminal_price`). A run of consecutive same-group tuples therefore
+        // shares each scenario's draws: seed once per (group, scenario),
+        // draw the run's longest horizon of normals, and walk every tuple's
+        // own prefix of them — the same draws and additions as the per-cell
+        // path, so the output stays bit-identical.
+        let mut z = vec![0.0f64; self.max_horizon as usize];
+        // (price, sigma, drift, ln price, horizon) of the current run.
+        let mut params: Vec<(f64, f64, f64, f64, usize)> = Vec::new();
+        let mut start = 0;
+        while start < tuples.len() {
+            let group = self.group[tuples[start]];
+            let len = tuples[start..]
+                .iter()
+                .take_while(|&&t| self.group[t] == group)
+                .count();
+            params.clear();
+            params.extend(tuples[start..start + len].iter().map(|&t| {
+                let (price, sigma) = (self.price[t], self.sigma[t]);
+                let drift = self.mu[t] - 0.5 * sigma * sigma;
+                (price, sigma, drift, price.ln(), self.horizon[t] as usize)
+            }));
+            let max_h = params.iter().map(|p| p.4).max().unwrap_or(0);
+            let rows = &mut out[start * m..(start + len) * m];
+            let gs = group_seed(column_prefix, group);
+            for (jj, j) in scenarios.clone().enumerate() {
                 let mut rng = SmallRng::seed_from_u64(cell_seed(gs, j as u64));
-                // Same day-by-day walk as `terminal_price`: the shared
-                // group stream means a short-horizon tuple still stops
-                // mid-path at its own horizon.
-                let mut log_s = log_s0;
-                for _ in 1..=horizon {
-                    let z: f64 = normal.sample(&mut rng);
-                    log_s += drift + sigma * z;
+                for zd in &mut z[..max_h] {
+                    *zd = normal.sample(&mut rng);
                 }
-                *slot = log_s.exp() - price;
+                for (k, &(price, sigma, drift, log_s0, horizon)) in params.iter().enumerate() {
+                    let mut log_s = log_s0;
+                    for &zd in &z[..horizon] {
+                        log_s += drift + sigma * zd;
+                    }
+                    rows[k * m + jj] = log_s.exp() - price;
+                }
             }
+            start += len;
         }
     }
 

@@ -9,8 +9,9 @@
 //!
 //! The corpus deliberately includes the families' degenerate edges: zero
 //! sigma tuples (no RNG consumed), inverted uniform bounds, single-candidate
-//! discrete sources (one draw still consumed), shared GBM driver groups,
-//! small and large Poisson rates (the sampler switches algorithms around
+//! discrete sources (one draw still consumed), shared GBM driver groups
+//! (interleaved, and in the Portfolio layout's consecutive runs that take
+//! the kernel's shared-path branch), small and large Poisson rates (the sampler switches algorithms around
 //! `lambda = 30`).
 
 use proptest::prelude::*;
@@ -39,6 +40,22 @@ fn family_corpus() -> Vec<(&'static str, Relation)> {
     let horizon: Vec<u32> = (0..gbm_n).map(|i| 1 + (i % 5) as u32).collect();
     // Shared driver groups: tuples of one stock share a path.
     let group: Vec<u64> = (0..gbm_n).map(|i| (i % 4) as u64).collect();
+    // The Portfolio layout: each stock's trades sit next to each other, one
+    // per sell-in horizon ({1..5} or {1, 2} days), so the kernel's shared
+    // per-group path is taken. Prices differ within a group.
+    let runs: [(u64, &[u32]); 4] = [
+        (0, &[1, 2, 3, 4, 5]),
+        (1, &[1, 2]),
+        (2, &[1, 2, 3, 4, 5]),
+        (3, &[1]),
+    ];
+    let (run_group, run_horizon): (Vec<u64>, Vec<u32>) = runs
+        .iter()
+        .flat_map(|&(g, days)| days.iter().map(move |&d| (g, d)))
+        .unzip();
+    assert_eq!(run_group.len(), N);
+    let run_mu: Vec<f64> = run_group.iter().map(|&g| 0.0004 * g as f64).collect();
+    let run_sigma: Vec<f64> = run_group.iter().map(|&g| 0.01 + 0.003 * g as f64).collect();
     let mut candidates: Vec<Vec<f64>> = (0..N)
         .map(|i| {
             (0..(1 + i % 4))
@@ -117,7 +134,17 @@ fn family_corpus() -> Vec<(&'static str, Relation)> {
             RelationBuilder::new("gbm")
                 .stochastic(
                     "x",
-                    GeometricBrownianMotion::new(price, mu, gbm_sigma, horizon, group),
+                    GeometricBrownianMotion::new(price.clone(), mu, gbm_sigma, horizon, group),
+                )
+                .build()
+                .unwrap(),
+        ),
+        (
+            "gbm-portfolio-runs",
+            RelationBuilder::new("gbmr")
+                .stochastic(
+                    "x",
+                    GeometricBrownianMotion::new(price, run_mu, run_sigma, run_horizon, run_group),
                 )
                 .build()
                 .unwrap(),

@@ -83,15 +83,6 @@ fn remaining_budget(opts: &SpqOptions) -> SpqOptions {
     scoped
 }
 
-/// Emit a phase-timing line on stderr when `SPQ_SKETCH_DEBUG` is set.
-macro_rules! debug_trace {
-    ($($arg:tt)*) => {
-        if std::env::var_os("SPQ_SKETCH_DEBUG").is_some() {
-            eprintln!($($arg)*);
-        }
-    };
-}
-
 /// Pick each partition's sketch representative.
 ///
 /// For linear objectives with per-tuple coefficients the representative is
@@ -177,12 +168,6 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
         partition_hierarchical(&features, max_size, opts.sketch.diameter_fraction)
     };
 
-    debug_trace!(
-        "[sketch] partitioned {n} tuples into {} groups (max size {max_size}) in {:?}",
-        parts.partitions.len(),
-        start.elapsed()
-    );
-
     // ---------------------------------------------------------------- phase 2
     let mut stats = EvaluationStats::default();
     let representatives = choose_representatives(instance, &parts)?;
@@ -225,30 +210,28 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
     // The solver validates the shape and falls back to a cold start when a
     // sub-problem's dimensions differ.
     let mut latest_basis = sketch.final_basis.clone();
-    debug_trace!(
-        "[sketch] sketch solve over {} representatives: feasible={} in {:?} (cumulative)",
-        parts.partitions.len(),
-        sketch.feasible,
-        start.elapsed()
-    );
     merge_stats(&mut stats, &sketch.stats);
     stats.scenarios_used = sketch.stats.scenarios_used;
     stats.summaries_used = sketch.stats.summaries_used;
 
     // Map global tuple indices back to candidate positions of the full
-    // instance (medoids and partition members are both subsets of it).
-    let pos_of: HashMap<usize, usize> = instance
-        .silp
-        .tuples
-        .iter()
-        .enumerate()
-        .map(|(pos, &tuple)| (tuple, pos))
-        .collect();
+    // instance (medoids and partition members are both subsets of it): a
+    // dense index over the relation, `u32::MAX` where a tuple is not a
+    // candidate. No ordering of `silp.tuples` is assumed.
+    let mut pos_of = vec![u32::MAX; instance.relation.len()];
+    for (pos, &tuple) in instance.silp.tuples.iter().enumerate() {
+        pos_of[tuple] = pos as u32;
+    }
+    let pos_of = |tuple: usize| {
+        let pos = pos_of[tuple];
+        assert_ne!(pos, u32::MAX, "tuple {tuple} is not a candidate");
+        pos as usize
+    };
 
     let mut current: Selection = HashMap::new();
     if let Some(package) = &sketch.package {
         for &(tuple, mult) in &package.multiplicities {
-            current.insert(pos_of[&tuple], f64::from(mult));
+            current.insert(pos_of(tuple), f64::from(mult));
         }
     }
 
@@ -325,13 +308,6 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
             let _span = spq_obs::span("refine");
             evaluate_summary_search(&sub_instance)?
         };
-        debug_trace!(
-            "[sketch] refine partition {pid} ({} members, {} frozen): feasible={} in {:?} (cumulative)",
-            members.len(),
-            frozen.len(),
-            refined.feasible,
-            start.elapsed()
-        );
         merge_stats(&mut stats, &refined.stats);
         stats.outer_iterations += 1;
         if refined.final_basis.is_some() {
@@ -348,7 +324,7 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
         // Replace this partition's allocation with the refined choice.
         let mut candidate: Selection = frozen.iter().copied().collect();
         for &(tuple, mult) in &package.multiplicities {
-            let pos = pos_of[&tuple];
+            let pos = pos_of(tuple);
             if parts.assignment[pos] == pid {
                 candidate.insert(pos, f64::from(mult));
             }
